@@ -158,8 +158,8 @@ impl PacSession {
     /// 1. profile (analytically, over the cost model);
     /// 2. plan stage partitioning and device grouping;
     /// 3. freeze the backbone;
-    /// 4. epoch 1: collaborative training with cache fill (data-parallel
-    ///    replicas across simulated devices);
+    /// 4. epoch 1: collaborative training (data-parallel replicas across
+    ///    simulated devices) whose own backbone forwards fill the cache;
     /// 5. epochs ≥ 2: cache-only data-parallel fine-tuning.
     ///
     /// # Errors
@@ -405,24 +405,37 @@ impl PacSession {
                     let usable = share * n_live;
 
                     let result = if epoch == 0 || !cache_has_all(&cache, &batch.ids[..usable]) {
-                        // Phase 1: full forwards, filling the cache shard-wise.
+                        // Phase 1: full forwards. Each lane's backbone
+                        // outputs come back from the step itself and fill
+                        // the cache, so the frozen backbone runs once per
+                        // shard. A failed step inserts nothing; the
+                        // rollback replays it through this phase again.
                         let _span = pac_telemetry::span("session.phase1");
-                        let shards: Vec<(Vec<Vec<usize>>, Vec<usize>)> = (0..n_live)
+                        let shards: Vec<(Vec<Vec<usize>>, Vec<f32>)> = (0..n_live)
                             .map(|k| {
                                 (
                                     batch.tokens[k * share..(k + 1) * share].to_vec(),
-                                    class_targets(batch, k * share, (k + 1) * share, task),
+                                    float_targets(batch, k * share, (k + 1) * share, task),
                                 )
                             })
                             .collect();
-                        // Fill cache: forward each shard once on its replica.
-                        for (k, (tokens, _)) in shards.iter().enumerate() {
-                            let (_, ctx) = replicas[k].forward(tokens)?;
-                            if let Some(acts) = replicas[k].cacheable_acts(&ctx) {
-                                cache.insert_batch(&batch.ids[k * share..(k + 1) * share], acts);
+                        dp_step_tokens_supervised(
+                            &mut replicas,
+                            &shards,
+                            task.is_regression(),
+                            &clock,
+                        )
+                        .map(|(out, lane_acts)| {
+                            // Every lane, a dropped one included: frozen
+                            // activations do not depend on the reduce.
+                            for (k, acts) in lane_acts.iter().enumerate() {
+                                if let Some(acts) = acts {
+                                    cache
+                                        .insert_batch(&batch.ids[k * share..(k + 1) * share], acts);
+                                }
                             }
-                        }
-                        dp_step_tokens_supervised(&mut replicas, &shards, &clock)
+                            out
+                        })
                     } else {
                         // Phase 2: cache-only DP training.
                         let _span = pac_telemetry::span("session.phase2");
@@ -712,21 +725,6 @@ fn cache_has_all(cache: &ActivationCache, ids: &[u64]) -> bool {
     ids.iter().all(|&id| cache.contains(id))
 }
 
-fn class_targets(batch: &pac_data::Batch, lo: usize, hi: usize, task: TaskKind) -> Vec<usize> {
-    if task.is_regression() {
-        // dp_step_tokens computes cross-entropy; regression tasks use the
-        // cached path exclusively after epoch 1 — for epoch 1 we bucket the
-        // score into {0, 1} halves, an acceptable warm-up signal for the
-        // frozen-backbone phase (documented substitution).
-        batch.labels[lo..hi]
-            .iter()
-            .map(|l| usize::from(l.score() >= 2.5))
-            .collect()
-    } else {
-        batch.labels[lo..hi].iter().map(|l| l.class()).collect()
-    }
-}
-
 fn float_targets(batch: &pac_data::Batch, lo: usize, hi: usize, task: TaskKind) -> Vec<f32> {
     batch.labels[lo..hi]
         .iter()
@@ -874,6 +872,28 @@ mod tests {
             resumed.recovery.timeline
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn regression_session_trains_and_fills_the_cache() {
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        let session = PacSession::new(PacConfig {
+            devices: 2,
+            epochs: 3,
+            batch_size: 4,
+            ..Default::default()
+        });
+        let report = session.run(&cfg, TaskKind::StsB, 16, 8).unwrap();
+        assert_eq!(report.epoch_losses.len(), 3);
+        assert!(
+            report.epoch_losses.iter().all(|l| l.is_finite()),
+            "losses {:?}",
+            report.epoch_losses
+        );
+        assert!(report.metric.is_finite());
+        assert_eq!(report.cache_stats.entries, 16);
+        assert_eq!(report.cache_stats.misses, 0);
+        assert!(report.cache_stats.hits > 0);
     }
 
     #[test]

@@ -56,9 +56,9 @@ fn lane_ctxs(n: usize, step: u64, clock: &FaultClock) -> Vec<LaneCtx> {
 
 /// Runs one replica's shard compute under `catch_unwind`, applying the
 /// lane's injections first.
-fn supervised_lane<F>(ctx: &LaneCtx, step: u64, compute: F) -> EngineResult<f32>
+fn supervised_lane<T, F>(ctx: &LaneCtx, step: u64, compute: F) -> EngineResult<T>
 where
-    F: FnOnce() -> EngineResult<f32>,
+    F: FnOnce() -> EngineResult<T>,
 {
     if let Some(d) = ctx.delay {
         std::thread::sleep(d);
@@ -81,14 +81,14 @@ where
     }
 }
 
-/// Folds per-lane results: losses on success, the most attributable error
-/// (a panic beats anything else) on failure.
-fn fold_lanes(results: Vec<EngineResult<f32>>) -> EngineResult<Vec<f32>> {
-    let mut losses = Vec::with_capacity(results.len());
+/// Folds per-lane results: every lane's value on success, the most
+/// attributable error (a panic beats anything else) on failure.
+fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> EngineResult<Vec<T>> {
+    let mut values = Vec::with_capacity(results.len());
     let mut error: Option<EngineError> = None;
     for r in results {
         match r {
-            Ok(l) => losses.push(l),
+            Ok(v) => values.push(v),
             Err(e) => {
                 let replace = match (&error, &e) {
                     (None, _) => true,
@@ -104,8 +104,22 @@ fn fold_lanes(results: Vec<EngineResult<f32>>) -> EngineResult<Vec<f32>> {
     }
     match error {
         Some(e) => Err(e),
-        None => Ok(losses),
+        None => Ok(values),
     }
+}
+
+/// A lane's training loss and its gradient w.r.t. the logits: MSE against
+/// the score column when `regression`, cross-entropy over class indices
+/// (`targets` holds them as exact small floats) otherwise.
+fn task_loss(logits: &Tensor, targets: &[f32], regression: bool) -> EngineResult<(f32, Tensor)> {
+    let out = if regression {
+        let target = Tensor::from_vec(targets.to_vec(), [targets.len(), 1])?;
+        mse(logits, &target)?
+    } else {
+        let classes: Vec<usize> = targets.iter().map(|&t| t as usize).collect();
+        cross_entropy(logits, &classes)?
+    };
+    Ok(out)
 }
 
 /// AllReduce with bounded retry / degrade, shared by both supervised steps.
@@ -258,25 +272,33 @@ pub fn allreduce_mean_excluding<M: Module>(
 /// One data-parallel step over token shards: each replica computes its
 /// shard's gradient concurrently; gradients are then AllReduce-averaged.
 ///
-/// `shards[k]` is `(tokens, class_targets)` for replica `k`. Returns the
-/// mean loss across replicas.
+/// `shards[k]` is `(tokens, targets)` for replica `k`; `regression`
+/// selects MSE over cross-entropy. Returns the mean loss across replicas.
 ///
 /// # Errors
 /// Returns an error if shard and replica counts differ or any forward
 /// fails.
 pub fn dp_step_tokens(
     replicas: &mut [Tuner],
-    shards: &[(Vec<Vec<usize>>, Vec<usize>)],
+    shards: &[(Vec<Vec<usize>>, Vec<f32>)],
+    regression: bool,
 ) -> EngineResult<f32> {
     let clock = FaultClock::quiet();
     clock.advance();
-    dp_step_tokens_supervised(replicas, shards, &clock).map(|o| o.loss)
+    dp_step_tokens_supervised(replicas, shards, regression, &clock).map(|(o, _)| o.loss)
 }
 
 /// [`dp_step_tokens`] under a [`FaultClock`]: injects the clock's faults
 /// for the current step, catches lane panics, retries/degrades the
 /// AllReduce. On `dropped_lane = Some(k)` the caller must remove replica
 /// `k` (its gradients were excluded and not written back).
+///
+/// Alongside the outcome it hands back, in lane order, the backbone layer
+/// outputs of the forward each lane just trained on (`None` for a
+/// technique with nothing to cache) — a lane the AllReduce dropped
+/// included, since frozen-backbone outputs do not depend on the reduce —
+/// so PAC's epoch 1 fills the activation cache without a second backbone
+/// pass. Tensors are copy-on-write: handing them back copies no data.
 ///
 /// # Errors
 /// [`EngineError::LanePanic`] when a replica dies,
@@ -285,9 +307,10 @@ pub fn dp_step_tokens(
 /// mismatches.
 pub fn dp_step_tokens_supervised(
     replicas: &mut [Tuner],
-    shards: &[(Vec<Vec<usize>>, Vec<usize>)],
+    shards: &[(Vec<Vec<usize>>, Vec<f32>)],
+    regression: bool,
     clock: &FaultClock,
-) -> EngineResult<SupervisedOutcome> {
+) -> EngineResult<(SupervisedOutcome, Vec<Option<Vec<Tensor>>>)> {
     if replicas.len() != shards.len() || replicas.is_empty() {
         return Err(EngineError::Tensor(TensorError::ShapeMismatch {
             op: "dp_step_tokens",
@@ -298,21 +321,21 @@ pub fn dp_step_tokens_supervised(
     let step = clock.current_step();
     let ctxs = lane_ctxs(replicas.len(), step, clock);
     let _span = pac_telemetry::span("dp.step_tokens");
-    let results: Vec<EngineResult<f32>> = replicas
+    let results: Vec<EngineResult<(f32, Option<Vec<Tensor>>)>> = replicas
         .par_iter_mut()
         .zip(shards.par_iter())
         .zip(ctxs.par_iter())
         .map(|((tuner, (tokens, targets)), ctx)| {
             supervised_lane(ctx, step, || {
                 let (logits, fwd) = tuner.forward(tokens)?;
-                let (loss, dl) = cross_entropy(&logits, targets)?;
+                let (loss, dl) = task_loss(&logits, targets, regression)?;
                 tuner.backward(&fwd, &dl)?;
-                Ok(loss)
+                Ok((loss, tuner.cacheable_acts(&fwd).map(<[Tensor]>::to_vec)))
             })
         })
         .collect();
-    let losses = fold_lanes(results)?;
-    reduce_supervised(replicas, &losses, step, clock)
+    let (losses, acts): (Vec<f32>, Vec<_>) = fold_lanes(results)?.into_iter().unzip();
+    Ok((reduce_supervised(replicas, &losses, step, clock)?, acts))
 }
 
 /// One cache-enabled data-parallel step (PAC epochs ≥ 2, paper §5.2): each
@@ -363,13 +386,7 @@ pub fn dp_step_cached_supervised(
         .map(|((tuner, (acts, targets)), ctx)| {
             supervised_lane(ctx, step, || {
                 let (logits, fwd) = tuner.forward_cached(acts)?;
-                let (loss, dl) = if regression {
-                    let target = Tensor::from_vec(targets.clone(), [targets.len(), 1])?;
-                    mse(&logits, &target)?
-                } else {
-                    let classes: Vec<usize> = targets.iter().map(|&t| t as usize).collect();
-                    cross_entropy(&logits, &classes)?
-                };
+                let (loss, dl) = task_loss(&logits, targets, regression)?;
                 tuner.backward(&fwd, &dl)?;
                 Ok(loss)
             })
@@ -414,13 +431,17 @@ mod tests {
     use pac_tensor::rng::seeded;
     use rand::Rng as _;
 
-    fn batch(seed: u64, b: usize, s: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+    fn batch(seed: u64, b: usize, s: usize) -> (Vec<Vec<usize>>, Vec<f32>) {
         let mut rng = seeded(seed);
         let toks = (0..b)
             .map(|_| (0..s).map(|_| rng.gen_range(0..64)).collect())
             .collect();
-        let targets = (0..b).map(|_| rng.gen_range(0..2)).collect();
+        let targets = (0..b).map(|_| rng.gen_range(0..2usize) as f32).collect();
         (toks, targets)
+    }
+
+    fn classes(targets: &[f32]) -> Vec<usize> {
+        targets.iter().map(|&t| t as usize).collect()
     }
 
     #[test]
@@ -432,7 +453,7 @@ mod tests {
         // Single device, full batch.
         let mut single = base.clone();
         let (logits, ctx) = single.forward(&tokens).unwrap();
-        let (_, dl) = cross_entropy(&logits, &targets).unwrap();
+        let (_, dl) = cross_entropy(&logits, &classes(&targets)).unwrap();
         single.backward(&ctx, &dl).unwrap();
         let mut expected: Vec<Tensor> = Vec::new();
         single.visit_params_ref(&mut |p| {
@@ -447,7 +468,7 @@ mod tests {
             (tokens[..2].to_vec(), targets[..2].to_vec()),
             (tokens[2..].to_vec(), targets[2..].to_vec()),
         ];
-        dp_step_tokens(&mut replicas, &shards).unwrap();
+        dp_step_tokens(&mut replicas, &shards, false).unwrap();
 
         for r in &replicas {
             let mut idx = 0usize;
@@ -475,7 +496,7 @@ mod tests {
             for r in replicas.iter_mut() {
                 r.zero_grads();
             }
-            dp_step_tokens(&mut replicas, &shards).unwrap();
+            dp_step_tokens(&mut replicas, &shards, false).unwrap();
             for (r, o) in replicas.iter_mut().zip(opts.iter_mut()) {
                 o.step(r);
             }
@@ -509,10 +530,7 @@ mod tests {
         let acts1 = warm.cacheable_acts(&c1).unwrap().to_vec();
 
         let mut replicas = vec![base.clone(), base];
-        let shards = vec![
-            (acts0, y0.iter().map(|&c| c as f32).collect::<Vec<f32>>()),
-            (acts1, y1.iter().map(|&c| c as f32).collect::<Vec<f32>>()),
-        ];
+        let shards = vec![(acts0, y0), (acts1, y1)];
         let mut losses = Vec::new();
         let mut opts: Vec<Adam> = (0..2).map(|_| Adam::new(1e-2)).collect();
         for _ in 0..10 {
@@ -532,12 +550,53 @@ mod tests {
     }
 
     #[test]
+    fn token_step_hands_back_every_lanes_backbone_outputs() {
+        let cfg = ModelConfig::micro(2, 1, 16, 2);
+        let base = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(229));
+        let shards = vec![batch(230, 2, 4), batch(231, 2, 4)];
+        let expected: Vec<Vec<Tensor>> = shards
+            .iter()
+            .map(|(tokens, _)| {
+                let mut warm = base.clone();
+                let (_, ctx) = warm.forward(tokens).unwrap();
+                warm.cacheable_acts(&ctx).unwrap().to_vec()
+            })
+            .collect();
+
+        // Lane 1 is dropped by the AllReduce; its forward still counts.
+        let mut replicas = vec![base.clone(), base];
+        let plan = FaultPlan::none().with(Fault::AllReduceTransient {
+            step: 0,
+            failures: MAX_ALLREDUCE_RETRIES + 1,
+            lane: Some(1),
+        });
+        let clock = FaultClock::new(plan);
+        clock.advance();
+        let (out, acts) = dp_step_tokens_supervised(&mut replicas, &shards, false, &clock).unwrap();
+        assert_eq!(out.dropped_lane, Some(1));
+        assert_eq!(acts.len(), 2);
+        for (lane, (got, want)) in acts.iter().zip(&expected).enumerate() {
+            let got = got.as_ref().expect("Parallel Adapters cache activations");
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                assert!(g.approx_eq(w, 0.0), "lane {lane} activations differ");
+            }
+        }
+
+        // A technique with nothing to cache hands back `None` per lane.
+        let lora = Tuner::new(Technique::lora_default(), &cfg, 2, &mut seeded(232));
+        let (_, acts) =
+            dp_step_tokens_supervised(&mut [lora.clone(), lora], &shards, false, &clock).unwrap();
+        assert!(acts.iter().all(Option::is_none));
+    }
+
+    #[test]
     fn shard_count_mismatch_is_error() {
         let cfg = ModelConfig::micro(1, 1, 16, 2);
         let base = Tuner::new(Technique::Full, &cfg, 2, &mut seeded(216));
         let mut replicas = vec![base];
         let shards = vec![batch(217, 2, 4), batch(218, 2, 4)];
-        assert!(dp_step_tokens(&mut replicas, &shards).is_err());
+        assert!(dp_step_tokens(&mut replicas, &shards, false).is_err());
     }
 
     #[test]
@@ -575,7 +634,7 @@ mod tests {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let err = dp_step_tokens_supervised(&mut replicas, &shards, &clock)
+        let err = dp_step_tokens_supervised(&mut replicas, &shards, false, &clock)
             .expect_err("injected panic must surface");
         match err {
             EngineError::LanePanic { lane, message, .. } => {
@@ -593,7 +652,7 @@ mod tests {
         let shards = vec![batch(225, 2, 4), batch(226, 2, 4)];
 
         let mut clean = vec![base.clone(), base.clone()];
-        dp_step_tokens(&mut clean, &shards).unwrap();
+        dp_step_tokens(&mut clean, &shards, false).unwrap();
 
         let mut faulted = vec![base.clone(), base];
         let plan = FaultPlan::none().with(Fault::AllReduceTransient {
@@ -603,7 +662,7 @@ mod tests {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let out = dp_step_tokens_supervised(&mut faulted, &shards, &clock).unwrap();
+        let (out, _) = dp_step_tokens_supervised(&mut faulted, &shards, false, &clock).unwrap();
         assert_eq!(out.retries, 2);
         assert_eq!(out.dropped_lane, None);
 
@@ -630,7 +689,7 @@ mod tests {
         // Monolithic reference over the surviving (first two) rows.
         let mut mono = base.clone();
         let (logits, ctx) = mono.forward(&tokens[..2]).unwrap();
-        let (_, dl) = cross_entropy(&logits, &targets[..2]).unwrap();
+        let (_, dl) = cross_entropy(&logits, &classes(&targets[..2])).unwrap();
         mono.backward(&ctx, &dl).unwrap();
         let mut expected: Vec<Tensor> = Vec::new();
         mono.visit_params_ref(&mut |p| {
@@ -651,7 +710,7 @@ mod tests {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let out = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        let (out, _) = dp_step_tokens_supervised(&mut replicas, &shards, false, &clock).unwrap();
         assert_eq!(out.dropped_lane, Some(1));
         assert_eq!(out.retries, MAX_ALLREDUCE_RETRIES);
 

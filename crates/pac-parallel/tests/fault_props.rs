@@ -13,12 +13,12 @@ use pac_tensor::Tensor;
 use proptest::prelude::*;
 use rand::Rng as _;
 
-fn shard(seed: u64, rows: usize, seq: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+fn shard(seed: u64, rows: usize, seq: usize) -> (Vec<Vec<usize>>, Vec<f32>) {
     let mut rng = seeded(seed);
     let toks = (0..rows)
         .map(|_| (0..seq).map(|_| rng.gen_range(0..64)).collect())
         .collect();
-    let targets = (0..rows).map(|_| rng.gen_range(0..2)).collect();
+    let targets = (0..rows).map(|_| rng.gen_range(0..2usize) as f32).collect();
     (toks, targets)
 }
 
@@ -48,7 +48,7 @@ proptest! {
             .iter()
             .enumerate()
             .filter(|(k, _)| *k != dead)
-            .flat_map(|(_, (_, y))| y.clone())
+            .flat_map(|(_, (_, y))| y.iter().map(|&t| t as usize))
             .collect();
         let (logits, ctx) = mono.forward(&tokens).unwrap();
         let (_, dl) = cross_entropy(&logits, &targets).unwrap();
@@ -70,7 +70,7 @@ proptest! {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let out = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        let (out, _) = dp_step_tokens_supervised(&mut replicas, &shards, false, &clock).unwrap();
         prop_assert_eq!(out.dropped_lane, Some(dead));
 
         for (k, r) in replicas.iter().enumerate() {

@@ -171,3 +171,124 @@ fn losing_all_devices_is_a_typed_unplannable_error() {
         "unexpected error: {err}"
     );
 }
+
+/// Pool width is process-global: runs that set it must not interleave.
+static POOL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// One fault plan against a small four-device session (12-row batches, so
+/// every survivor count down to one still shards a batch whole), run at
+/// pool width `width`.
+fn cache_fault_run(
+    width: usize,
+    cache_int8: bool,
+    plan: &FaultPlan,
+) -> (Vec<u32>, u64, pac_peft::CacheStats) {
+    let _guard = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    rayon::pool::set_max_concurrency(width);
+    let cfg = ModelConfig::micro(2, 1, 16, 2);
+    let task = TaskKind::Sst2;
+    let backbone = pac_model::EncDecModel::new(&cfg, task.n_out(), &mut seeded(5));
+    let report = PacSession::new(PacConfig {
+        devices: 4,
+        reduction: 4,
+        epochs: 3,
+        batch_size: 12,
+        lr: 1e-2,
+        seed: 5,
+        checkpoint_every: 3,
+        cache_int8,
+    })
+    .run_with_faults(backbone, task, 48, 12, plan);
+    rayon::pool::set_max_concurrency(usize::MAX);
+    let report = report.expect("session recovers");
+    (
+        report.epoch_losses.iter().map(|l| l.to_bits()).collect(),
+        report.metric.to_bits(),
+        report.cache_stats,
+    )
+}
+
+/// Every fault path ends with the activation cache whole — one entry per
+/// training row, no misses — and with the recorded loss, metric and cache
+/// bits, at pool widths 1, 2 and 8 and for both cache precisions. The
+/// plans strike the epoch-1 fill (a lane panic, an AllReduce that drops an
+/// unreachable lane, a fail-stop) and a cached epoch (a lane panic).
+#[test]
+fn fault_paths_keep_the_cache_whole_and_bitwise() {
+    use pac_parallel::engine::MAX_ALLREDUCE_RETRIES;
+    let stats = |bytes, hits| pac_peft::CacheStats {
+        entries: 48,
+        bytes,
+        logical_bytes: 82_944,
+        hits,
+        misses: 0,
+    };
+    // (plan, f32 loss bits, int8 loss bits, metric bits, cache hits)
+    let cases = [
+        (
+            "lane panic in the fill epoch",
+            Fault::LanePanic {
+                step: 1,
+                lane: 2,
+                stage: 0,
+            },
+            [1060883511, 1060128378, 1059781097],
+            [1060883511, 1060122424, 1059774654],
+            4633406504130226859,
+            96,
+        ),
+        (
+            "unreachable lane dropped in the fill epoch",
+            Fault::AllReduceTransient {
+                step: 2,
+                failures: MAX_ALLREDUCE_RETRIES + 1,
+                lane: Some(3),
+            },
+            [1060906501, 1060075908, 1059724942],
+            [1060906501, 1060069866, 1059718286],
+            4634391666548714154,
+            96,
+        ),
+        (
+            "fail-stop in the fill epoch",
+            Fault::FailStop { step: 2, device: 0 },
+            [1060883511, 1060128378, 1059781097],
+            [1060883511, 1060122424, 1059774654],
+            4633406504130226859,
+            96,
+        ),
+        (
+            "lane panic in a cached epoch",
+            Fault::LanePanic {
+                step: 6,
+                lane: 1,
+                stage: 0,
+            },
+            [1060883511, 1060128377, 1059781097],
+            [1060883511, 1060122425, 1059774654],
+            4633406504130226859,
+            108,
+        ),
+    ];
+    for (name, fault, f32_bits, int8_bits, metric_bits, hits) in cases {
+        let plan = FaultPlan::none().with(fault);
+        for width in [1, 2, 8] {
+            let (losses, metric, cache) = cache_fault_run(width, false, &plan);
+            assert_eq!(losses, f32_bits, "{name}: f32 losses, width {width}");
+            assert_eq!(metric, metric_bits, "{name}: f32 metric, width {width}");
+            assert_eq!(
+                cache,
+                stats(82_944, hits),
+                "{name}: f32 cache, width {width}"
+            );
+            let (losses, metric, cache) = cache_fault_run(width, true, &plan);
+            assert_eq!(losses, int8_bits, "{name}: int8 losses, width {width}");
+            assert_eq!(metric, metric_bits, "{name}: int8 metric, width {width}");
+            assert_eq!(
+                cache,
+                stats(25_920, hits),
+                "{name}: int8 cache, width {width}"
+            );
+        }
+    }
+}
